@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EnumerationCapError
+from .errors import DimensionMismatchError, EnumerationCapError, VerificationError
 from .states import BipartiteVector
 
 ENUMERATION_CAP = 10_000_000
@@ -140,7 +140,8 @@ def check_bell_set(s: BellSet) -> tuple[bool, tuple[int, int, int] | None]:
     ms = np.array([[m for _, m in s.indices]])
     if len(s.indices) == 1 or bool(_differences_commute(ns, ms, s.d)[0]):
         witness = _find_witness(s.indices, s.d)
-        assert witness is not None, "witness must exist for a commuting index set"
+        if witness is None:
+            raise VerificationError(f"no witness triple for the commuting index set {s.indices}")
         return True, witness
     return False, None
 
@@ -203,7 +204,8 @@ def linear_family(d: int, f: int, g: int, orientation: str = "n") -> BellSet:
     else:
         raise ValueError(f"orientation must be 'n' or 'm', got {orientation!r}")
     ok, witness = check_bell_set(BellSet(d, indices))
-    assert ok, "affine families always pass the criterion"
+    if not ok:
+        raise VerificationError(f"affine family {indices} fails the criterion")
     return BellSet(d, indices, witness=witness)
 
 

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .bell import BellSet
-from .errors import DocumentError
+from .errors import DimensionMismatchError, DocumentError, ProtocolMismatchError
 from .locc import LoccProtocol
 from .states import BipartiteVector, GramEnsemble
 
@@ -61,11 +61,15 @@ def doc_to_vector(doc, where: str) -> np.ndarray:
     return np.array([pair_to_complex(z, where) for z in doc], dtype=complex)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: dict, field: str, kind, where: str):
     if field not in doc:
         raise DocumentError(f"{where}: missing field {field!r}")
     value = doc[field]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
+    if kind is int and not _is_int(value):
         raise DocumentError(f"{where}: field {field!r} must be an integer")
     if kind is list and not isinstance(value, list):
         raise DocumentError(f"{where}: field {field!r} must be a list")
@@ -135,27 +139,27 @@ def bell_set_to_doc(s: BellSet) -> dict:
     }
 
 
+def _index_pairs(raw: list, where: str) -> tuple[tuple[int, int], ...]:
+    """Strictly parse Bell indices: every entry an ``[n, m]`` pair of integers
+    (booleans and floats such as ``0.5`` are rejected, not truncated)."""
+    for i, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_int, pair)):
+            raise DocumentError(f"{where}: indices[{i}] must be an [n, m] integer pair")
+    return tuple((n, m) for n, m in raw)
+
+
 def doc_to_bell_set(doc, where: str = "bell set document") -> BellSet:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     d = _require(doc, "d", int, where)
-    raw = _require(doc, "indices", list, where)
-    indices = []
-    for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-        ):
-            raise DocumentError(f"{where}: indices[{i}] must be an [n, m] integer pair")
-        indices.append((pair[0], pair[1]))
+    indices = _index_pairs(_require(doc, "indices", list, where), where)
     witness = doc.get("witness")
     if witness is not None:
-        if not isinstance(witness, list) or len(witness) != 3:
-            raise DocumentError(f"{where}: witness must be a [p, q, r] triple")
-        witness = tuple(int(x) for x in witness)
+        if not isinstance(witness, list) or len(witness) != 3 or not all(map(_is_int, witness)):
+            raise DocumentError(f"{where}: witness must be a [p, q, r] integer triple")
+        witness = tuple(witness)
     try:
-        return BellSet(d, tuple(indices), witness=witness)
+        return BellSet(d, indices, witness=witness)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
@@ -178,20 +182,16 @@ def doc_to_protocol(doc, where: str = "protocol document") -> LoccProtocol:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     d = _require(doc, "d", int, where)
-    raw = _require(doc, "indices", list, where)
-    indices = tuple(
-        (int(pair[0]), int(pair[1]))
-        for pair in raw
-        if isinstance(pair, list) and len(pair) == 2
-    )
-    if len(indices) != len(raw):
-        raise DocumentError(f"{where}: indices must be [n, m] pairs")
+    indices = _index_pairs(_require(doc, "indices", list, where), where)
     labels = _require(doc, "labels", list, where)
+    for i, label in enumerate(labels):
+        if not _is_int(label):
+            raise DocumentError(f"{where}: labels[{i}] must be an integer")
     ua = doc_to_matrix(_require(doc, "ua", list, where), f"{where}: ua")
     ub = doc_to_matrix(_require(doc, "ub", list, where), f"{where}: ub")
     try:
-        return LoccProtocol(d, indices, ua, ub, tuple(int(x) for x in labels))
-    except Exception as exc:
+        return LoccProtocol(d, indices, ua, ub, tuple(labels))
+    except (DimensionMismatchError, ProtocolMismatchError) as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
 

@@ -10,6 +10,10 @@ class SchmidtkitError(Exception):
     """Base class for all schmidtkit errors."""
 
 
+class ToleranceError(SchmidtkitError):
+    """A tolerance is not a finite positive number."""
+
+
 class NonSquareError(SchmidtkitError):
     """A square matrix was required."""
 

@@ -25,6 +25,7 @@ import numpy as np
 from .bell import BellSet, bell_vectors, check_bell_set, weyl_x
 from .errors import (
     CanonicalizationError,
+    DimensionMismatchError,
     NotDecomposableError,
     ProtocolMismatchError,
 )
@@ -57,6 +58,8 @@ class LoccProtocol:
     labels: tuple[int, ...]
 
     def __post_init__(self):
+        if self.d < 2:
+            raise DimensionMismatchError("dimension must be at least 2")
         labels = tuple(int(r) % self.d for r in self.labels)
         if len(labels) != len(self.indices):
             raise ProtocolMismatchError("one label per member required")

@@ -5,6 +5,7 @@ from schmidtkit import (
     BellSet,
     DimensionMismatchError,
     EnumerationCapError,
+    VerificationError,
     amplitude_matrix,
     bell_matrix,
     bell_state,
@@ -232,6 +233,16 @@ class TestLinearFamilies:
     def test_rejects_bad_orientation(self):
         with pytest.raises(ValueError):
             linear_family(3, 1, 0, orientation="x")
+
+    def test_missing_witness_is_an_error(self, monkeypatch):
+        import schmidtkit.bell as bell
+
+        monkeypatch.setattr(bell, "_find_witness", lambda indices, d: None)
+        with pytest.raises(VerificationError):
+            check_bell_set(BellSet(3, ((0, 0), (1, 1))))
+        monkeypatch.setattr(bell, "check_bell_set", lambda s: (False, None))
+        with pytest.raises(VerificationError):
+            linear_family(3, 1, 0)
 
 
 class TestSizeBound:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from schmidtkit.cli import main
 
@@ -38,6 +39,13 @@ class TestCheck:
         code, doc = run(capsys, "check", "--input", "no-such-file.json")
         assert code == 2
         assert doc["error"]["type"] == "DocumentError"
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_is_an_error(self, capsys, tol):
+        for command in ("check", "decompose", "entropy"):
+            code, doc = run(capsys, command, "--input", SSD, "--tol", tol)
+            assert code == 2
+            assert doc["error"]["type"] == "ToleranceError"
 
     def test_deterministic_output(self, capsys):
         code1 = main(["check", "--input", SSD])

@@ -107,3 +107,27 @@ class TestMalformedDocuments:
     def test_protocol_document_validation(self):
         with pytest.raises(DocumentError):
             doc_to_protocol({"d": 2, "indices": [[0, 0]], "labels": [0]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("indices", [[0, 0], [0.5, 1]]),
+        ("indices", [[0, 0], [True, 1]]),
+        ("indices", [[0, 0], [1]]),
+        ("indices", [[0, 0], "1,1"]),
+        ("labels", [0, 0.5]),
+        ("labels", [0, True]),
+        ("d", 0),
+    ])
+    def test_protocol_entries_are_strict(self, field, value):
+        doc = protocol_to_doc(synthesize(BellSet(2, ((0, 0), (1, 1)))), seed=0, version="0.1.0")
+        doc[field] = value
+        with pytest.raises(DocumentError):
+            doc_to_protocol(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"d": 3, "indices": [[0, 0], [0.5, 1]]},
+        {"d": 3, "indices": [[0, 0], [1, False]]},
+        {"d": 3, "indices": [[0, 1], [1, 1]], "witness": [0.0, 1, 1]},
+    ])
+    def test_bell_set_entries_are_strict(self, doc):
+        with pytest.raises(DocumentError):
+            doc_to_bell_set(doc)

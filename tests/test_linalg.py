@@ -6,6 +6,7 @@ from schmidtkit import (
     NotCommutingError,
     NotHermitianError,
     NotNormalError,
+    ToleranceError,
     commutator_norm,
     hermitian_eig,
     is_normal,
@@ -195,3 +196,8 @@ class TestJointDiagonalize:
         nil = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NotNormalError):
             joint_diagonalize([nil, np.eye(2, dtype=complex)])
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ToleranceError):
+            joint_diagonalize([np.eye(2, dtype=complex)], tol=tol)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,8 @@ from schmidtkit import (
     NotCommutingError,
     NotDecomposableError,
     SpectrumWitness,
+    SSDVerdict,
+    ToleranceError,
     VerificationError,
     amplitude_matrix,
     bell_state,
@@ -254,3 +261,32 @@ class TestRankDeficientEnsembles:
         assert res.verdict.decomposable
         form = to_maximally_correlated(ens, res)
         assert abs(np.trace(form.coeff_matrix) - 1.0) < 1e-9
+
+
+class TestToleranceAndInvariants:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), True, "1e-10"])
+    def test_bad_tolerance_rejected(self, tol):
+        vectors = list(ssd_pair())
+        for call in (decompose, check_commutation, check_spectrum_factorization):
+            with pytest.raises(ToleranceError):
+                call(vectors, tol=tol)
+
+    def test_inconsistent_verdict_raises(self):
+        with pytest.raises(VerificationError):
+            SSDVerdict(True, True, False, None)
+        with pytest.raises(VerificationError):
+            SSDVerdict(False, True, True, None)
+
+    def test_inconsistent_verdict_raises_under_optimize(self):
+        code = (
+            "from schmidtkit import SSDVerdict, VerificationError\n"
+            "try:\n"
+            "    SSDVerdict(True, False, True, None)\n"
+            "except VerificationError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert done.returncode == 0
